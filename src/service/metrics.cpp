@@ -1,7 +1,9 @@
 #include "service/metrics.h"
 
 #include <cstdio>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 namespace shs::service {
 
@@ -108,307 +110,339 @@ obs::HistogramEntry LatencyHistogram::exposition(std::string name,
   return e;
 }
 
+namespace {
+
+using M = ServiceMetrics;
+using G = ServiceMetrics::Gauges;
+using Counter = std::atomic<std::uint64_t> M::*;
+
+constexpr MetricRow counter(const char* json, Counter field, const char* name,
+                            const char* help,
+                            const char* shard_help = nullptr) {
+  return {name, help, MetricKind::kCounter, json, field, nullptr, nullptr,
+          false, shard_help};
+}
+
+constexpr MetricRow high_water(const char* json, Counter field,
+                               const char* name, const char* help) {
+  return {name, help, MetricKind::kMaxGauge, json, field};
+}
+
+// A gauge summed across shards.
+constexpr MetricRow gauge(const char* json, std::uint64_t G::* field,
+                          const char* name, const char* help,
+                          const char* shard_help = nullptr) {
+  return {name, help, MetricKind::kGauge, json, nullptr, field, nullptr,
+          false, shard_help};
+}
+
+// Process-wide rows (see MetricRow::process_wide).
+constexpr MetricRow process_gauge(const char* json, std::uint64_t G::* field,
+                                  const char* name, const char* help) {
+  return {name, help, MetricKind::kGauge, json, nullptr, field, nullptr, true};
+}
+
+constexpr MetricRow process_counter(const char* json, std::uint64_t G::* field,
+                                    const char* name, const char* help) {
+  return {name, help, MetricKind::kCounter, json, nullptr, field, nullptr,
+          true};
+}
+
+constexpr MetricRow histogram(const char* json, LatencyHistogram M::* field,
+                              const char* name, const char* help) {
+  return {name, help, MetricKind::kHistogram, json, nullptr, nullptr, field};
+}
+
+// Export order: the Prometheus body renders rows in this order, and the
+// JSON document nests them by key path (rows sharing a path prefix must
+// be adjacent).
+constexpr MetricRow kTable[] = {
+    counter("sessions.opened", &M::sessions_opened,
+            "shs_sessions_opened_total", "Handshake sessions opened",
+            "Handshake sessions opened on one shard"),
+    counter("sessions.confirmed", &M::sessions_confirmed,
+            "shs_sessions_confirmed_total",
+            "Sessions that confirmed at least one partner"),
+    counter("sessions.failed", &M::sessions_failed,
+            "shs_sessions_failed_total",
+            "Sessions that completed without a clique"),
+    counter("sessions.expired", &M::sessions_expired,
+            "shs_sessions_expired_total", "Sessions expired at the deadline"),
+    gauge("sessions.active", &G::active_sessions, "shs_sessions_active",
+          "Sessions currently in the session table",
+          "Sessions active on one shard"),
+    counter("rounds_advanced", &M::rounds_advanced,
+            "shs_rounds_advanced_total", "Protocol rounds advanced"),
+    counter("frames.in", &M::frames_in, "shs_frames_in_total",
+            "Frames accepted into sessions"),
+    counter("frames.out", &M::frames_out, "shs_frames_out_total",
+            "Frames emitted to the egress sink"),
+    counter("frames.rejected", &M::frames_rejected,
+            "shs_frames_rejected_total", "Frames rejected before slotting"),
+    counter("frames.bytes_in", &M::bytes_in, "shs_frame_bytes_in_total",
+            "Encoded bytes of accepted frames"),
+    counter("frames.bytes_out", &M::bytes_out, "shs_frame_bytes_out_total",
+            "Encoded bytes of emitted frames"),
+    counter("transport.bytes_in", &M::tcp_bytes_in, "shs_tcp_bytes_in_total",
+            "Raw bytes read from transport sockets"),
+    counter("transport.bytes_out", &M::tcp_bytes_out,
+            "shs_tcp_bytes_out_total",
+            "Raw bytes written to transport sockets"),
+    counter("transport.connections.accepted", &M::connections_accepted,
+            "shs_connections_accepted_total", "Transport connections accepted"),
+    counter("transport.connections.closed", &M::connections_closed,
+            "shs_connections_closed_total", "Transport connections closed"),
+    counter("transport.connections.killed_backpressure",
+            &M::connections_killed_backpressure,
+            "shs_connections_killed_backpressure_total",
+            "Connections killed at the write-queue kill watermark"),
+    gauge("transport.connections.active", &G::active_connections,
+          "shs_connections_active", "Transport connections currently open",
+          "Transport connections open on one shard"),
+    counter("transport.frames_unowned", &M::frames_unowned,
+            "shs_frames_unowned_total",
+            "Frames dropped for session-ownership violations"),
+    high_water("transport.write_queue_hwm_bytes", &M::write_queue_hwm,
+               "shs_write_queue_hwm_bytes",
+               "High-water mark across connection write queues"),
+    counter("transport.handoff_in", &M::frames_handoff_in,
+            "shs_frames_handoff_in_total",
+            "Session frames received from another shard's connection",
+            "Frames this shard received from another shard's connection"),
+    counter("transport.handoff_out", &M::frames_handoff_out,
+            "shs_frames_handoff_out_total",
+            "Session frames handed off to another shard's service",
+            "Frames this shard handed off to another shard's service"),
+    counter("batch.jobs", &M::batch_jobs, "shs_batch_jobs_total",
+            "Verify jobs enqueued for batching"),
+    counter("batch.deduped", &M::batch_jobs_deduped,
+            "shs_batch_jobs_deduped_total",
+            "Verify jobs coalesced with an identical pending job"),
+    counter("batch.rejected", &M::batch_jobs_rejected,
+            "shs_batch_jobs_rejected_total",
+            "Batched verify jobs that resolved to reject"),
+    counter("batch.flushes.total", &M::batch_flushes,
+            "shs_batch_flushes_total", "Batch verifier flushes"),
+    counter("batch.flushes.size", &M::batch_flushes_size,
+            "shs_batch_flushes_size_total",
+            "Flushes triggered by the max-pending threshold"),
+    counter("batch.flushes.deadline", &M::batch_flushes_deadline,
+            "shs_batch_flushes_deadline_total",
+            "Flushes triggered by the deadline poll"),
+    counter("batch.checks", &M::batch_checks, "shs_batch_checks_total",
+            "Unique prepared checks folded across all flushes"),
+    counter("batch.bisections", &M::batch_bisections,
+            "shs_batch_bisections_total",
+            "Failed-fold bisection splits during batch verification"),
+    counter("batch.individual", &M::batch_individual,
+            "shs_batch_individual_verifies_total",
+            "Singleton fallback verifications after bisection"),
+    high_water("batch.max_size", &M::batch_max_size, "shs_batch_max_size",
+               "High-water mark of unique checks per flush"),
+    counter("channel.opened", &M::channels_opened, "shs_channels_opened_total",
+            "Post-handshake channels registered with the relay"),
+    counter("channel.closed", &M::channels_closed, "shs_channels_closed_total",
+            "Post-handshake channels torn down or expired"),
+    gauge("channel.active", &G::channels_open, "shs_channels_open",
+          "Channels currently registered with the relay",
+          "Relay channels registered on one shard"),
+    counter("channel.attaches", &M::channel_attaches,
+            "shs_channel_attaches_total", "Accepted channel attach requests"),
+    counter("channel.records_in", &M::channel_records_in,
+            "shs_channel_records_in_total",
+            "Channel records received from attached members",
+            "Channel records received by one shard's hub"),
+    counter("channel.records_relayed", &M::channel_records_relayed,
+            "shs_channel_records_relayed_total",
+            "Channel records fanned out to clique members"),
+    counter("channel.bytes_in", &M::channel_bytes_in,
+            "shs_channel_bytes_in_total",
+            "Record payload bytes received from attached members"),
+    counter("channel.bytes_relayed", &M::channel_bytes_relayed,
+            "shs_channel_bytes_relayed_total",
+            "Record payload bytes fanned out to clique members"),
+    counter("channel.records_unowned", &M::channel_records_unowned,
+            "shs_channel_records_unowned_total",
+            "Channel records dropped for attach-ownership violations"),
+    counter("channel.rekeys", &M::channel_rekeys, "shs_channel_rekeys_total",
+            "REKEY records observed by the relay"),
+    counter("authority.rekeys", &M::authority_rekeys,
+            "shs_authority_rekeys_total",
+            "Rekey broadcasts issued by the group authority"),
+    counter("authority.rekey_bytes", &M::authority_rekey_bytes,
+            "shs_authority_rekey_bytes_total",
+            "Encoded bytes of issued rekey broadcasts"),
+    counter("authority.rekeys_relayed", &M::authority_rekeys_relayed,
+            "shs_authority_rekeys_relayed_total",
+            "Rekey broadcasts fanned out to subscribed connections",
+            "Rekey broadcasts one shard's hub fanned out"),
+    counter("authority.rekey_bytes_relayed", &M::authority_rekey_bytes_relayed,
+            "shs_authority_rekey_bytes_relayed_total",
+            "Encoded rekey bytes fanned out to subscribed connections"),
+    counter("authority.subscribes", &M::authority_subscribes,
+            "shs_authority_subscribes_total",
+            "Accepted authority subscribe requests"),
+    counter("authority.syncs", &M::authority_syncs, "shs_authority_syncs_total",
+            "Member re-sync snapshots served by the authority"),
+    counter("authority.rejects", &M::authority_rejects,
+            "shs_authority_rejects_total",
+            "Authority subscribe/sync requests rejected"),
+    process_gauge("authority.members", &G::authority_members,
+                  "shs_authority_members",
+                  "Members currently in the authority's group"),
+    process_gauge("authority.epoch", &G::authority_epoch, "shs_authority_epoch",
+                  "Current CGKD epoch of the group authority"),
+    gauge("authority.subscribers", &G::authority_subscribers,
+          "shs_authority_subscribers",
+          "Connections subscribed to rekey broadcasts",
+          "Rekey-broadcast subscriptions on one shard"),
+    process_gauge("precomp.tables", &G::precomp_tables, "shs_precomp_tables",
+                  "Fixed-base tables in the process-wide cache"),
+    process_gauge("precomp.hits", &G::precomp_hits, "shs_precomp_hits",
+                  "Process-wide precomputation cache hits"),
+    process_gauge("precomp.misses", &G::precomp_misses, "shs_precomp_misses",
+                  "Process-wide precomputation cache misses"),
+    process_counter("trace.recorded", &G::trace_recorded,
+                    "shs_trace_records_total",
+                    "Flight-recorder records accepted"),
+    process_counter(
+        "trace.dropped", &G::trace_dropped, "shs_trace_dropped_total",
+        "Flight-recorder records overwritten before export (ring wrap)"),
+    process_counter(
+        "trace.sampling_skipped", &G::trace_sampling_skipped,
+        "shs_trace_sampling_skipped_total",
+        "Flight-recorder record calls rejected by the sampling filter"),
+    histogram("latency.phase1", &M::phase1_latency, "shs_phase1_latency_us",
+              "Session open to end of Phase I"),
+    histogram("latency.phase2", &M::phase2_latency, "shs_phase2_latency_us",
+              "Session open to end of Phase II"),
+    histogram("latency.phase3", &M::phase3_latency, "shs_phase3_latency_us",
+              "Session open to end of Phase III"),
+    histogram("latency.session", &M::session_latency, "shs_session_latency_us",
+              "Session open to final round delivered"),
+};
+
+std::uint64_t value_of(const MetricRow& row, const ServiceMetrics& m,
+                       const G& gauges) {
+  return row.counter != nullptr
+             ? (m.*row.counter).load(std::memory_order_relaxed)
+             : gauges.*row.gauge;
+}
+
+obs::MetricEntry scalar(const MetricRow& row, std::uint64_t value) {
+  return {row.name, row.help, row.kind != MetricKind::kCounter, value, {}};
+}
+
+}  // namespace
+
+std::span<const MetricRow> metric_table() noexcept { return kTable; }
+
 void ServiceMetrics::merge_from(const ServiceMetrics& other) noexcept {
-  auto add = [](std::atomic<std::uint64_t>& into,
-                const std::atomic<std::uint64_t>& from) {
-    const std::uint64_t n = from.load(std::memory_order_relaxed);
-    if (n != 0) into.fetch_add(n, std::memory_order_relaxed);
-  };
-  auto max = [](std::atomic<std::uint64_t>& into,
-                const std::atomic<std::uint64_t>& from) {
-    const std::uint64_t n = from.load(std::memory_order_relaxed);
-    std::uint64_t seen = into.load(std::memory_order_relaxed);
-    while (n > seen && !into.compare_exchange_weak(seen, n,
-                                                   std::memory_order_relaxed)) {
+  for (const MetricRow& row : kTable) {
+    if (row.histogram != nullptr) {
+      (this->*row.histogram).merge(other.*row.histogram);
+    } else if (row.counter != nullptr) {
+      const std::uint64_t n =
+          (other.*row.counter).load(std::memory_order_relaxed);
+      if (row.kind == MetricKind::kMaxGauge) {
+        raise_to(this->*row.counter, n);
+      } else if (n != 0) {
+        (this->*row.counter).fetch_add(n, std::memory_order_relaxed);
+      }
     }
-  };
-  add(sessions_opened, other.sessions_opened);
-  add(sessions_confirmed, other.sessions_confirmed);
-  add(sessions_failed, other.sessions_failed);
-  add(sessions_expired, other.sessions_expired);
-  add(rounds_advanced, other.rounds_advanced);
-  add(frames_in, other.frames_in);
-  add(bytes_in, other.bytes_in);
-  add(frames_rejected, other.frames_rejected);
-  add(frames_out, other.frames_out);
-  add(bytes_out, other.bytes_out);
-  add(tcp_bytes_in, other.tcp_bytes_in);
-  add(tcp_bytes_out, other.tcp_bytes_out);
-  add(connections_accepted, other.connections_accepted);
-  add(connections_closed, other.connections_closed);
-  add(connections_killed_backpressure, other.connections_killed_backpressure);
-  add(frames_unowned, other.frames_unowned);
-  max(write_queue_hwm, other.write_queue_hwm);
-  add(frames_handoff_in, other.frames_handoff_in);
-  add(frames_handoff_out, other.frames_handoff_out);
-  add(batch_jobs, other.batch_jobs);
-  add(batch_jobs_deduped, other.batch_jobs_deduped);
-  add(batch_jobs_rejected, other.batch_jobs_rejected);
-  add(batch_flushes, other.batch_flushes);
-  add(batch_flushes_size, other.batch_flushes_size);
-  add(batch_flushes_deadline, other.batch_flushes_deadline);
-  add(batch_checks, other.batch_checks);
-  add(batch_bisections, other.batch_bisections);
-  add(batch_individual, other.batch_individual);
-  max(batch_max_size, other.batch_max_size);
-  add(channels_opened, other.channels_opened);
-  add(channels_closed, other.channels_closed);
-  add(channel_attaches, other.channel_attaches);
-  add(channel_records_in, other.channel_records_in);
-  add(channel_records_relayed, other.channel_records_relayed);
-  add(channel_bytes_in, other.channel_bytes_in);
-  add(channel_bytes_relayed, other.channel_bytes_relayed);
-  add(channel_records_unowned, other.channel_records_unowned);
-  add(channel_rekeys, other.channel_rekeys);
-  add(authority_rekeys, other.authority_rekeys);
-  add(authority_rekey_bytes, other.authority_rekey_bytes);
-  add(authority_rekeys_relayed, other.authority_rekeys_relayed);
-  add(authority_rekey_bytes_relayed, other.authority_rekey_bytes_relayed);
-  add(authority_subscribes, other.authority_subscribes);
-  add(authority_syncs, other.authority_syncs);
-  add(authority_rejects, other.authority_rejects);
-  phase1_latency.merge(other.phase1_latency);
-  phase2_latency.merge(other.phase2_latency);
-  phase3_latency.merge(other.phase3_latency);
-  session_latency.merge(other.session_latency);
+  }
 }
 
 std::string ServiceMetrics::to_json(const Gauges& gauges) const {
-  auto u64 = [](const std::atomic<std::uint64_t>& v) {
-    return std::to_string(v.load(std::memory_order_relaxed));
-  };
+  // Rows nest by key path. Top-level members and histograms start a new
+  // line; everything else stays on its parent's line.
   std::string out = "{";
-  out += "\"sessions\": {\"opened\": " + u64(sessions_opened) +
-         ", \"confirmed\": " + u64(sessions_confirmed) +
-         ", \"failed\": " + u64(sessions_failed) +
-         ", \"expired\": " + u64(sessions_expired) +
-         ", \"active\": " + std::to_string(gauges.active_sessions) + "},\n";
-  out += " \"frames\": {\"in\": " + u64(frames_in) +
-         ", \"out\": " + u64(frames_out) +
-         ", \"rejected\": " + u64(frames_rejected) +
-         ", \"bytes_in\": " + u64(bytes_in) +
-         ", \"bytes_out\": " + u64(bytes_out) + "},\n";
-  out += " \"rounds_advanced\": " + u64(rounds_advanced) + ",\n";
-  out += " \"transport\": {\"bytes_in\": " + u64(tcp_bytes_in) +
-         ", \"bytes_out\": " + u64(tcp_bytes_out) +
-         ", \"connections\": {\"accepted\": " + u64(connections_accepted) +
-         ", \"closed\": " + u64(connections_closed) +
-         ", \"killed_backpressure\": " + u64(connections_killed_backpressure) +
-         ", \"active\": " + std::to_string(gauges.active_connections) +
-         "}, \"frames_unowned\": " + u64(frames_unowned) +
-         ", \"write_queue_hwm_bytes\": " + u64(write_queue_hwm) +
-         ", \"handoff_in\": " + u64(frames_handoff_in) +
-         ", \"handoff_out\": " + u64(frames_handoff_out) + "},\n";
-  out += " \"batch\": {\"jobs\": " + u64(batch_jobs) +
-         ", \"deduped\": " + u64(batch_jobs_deduped) +
-         ", \"rejected\": " + u64(batch_jobs_rejected) +
-         ", \"flushes\": {\"total\": " + u64(batch_flushes) +
-         ", \"size\": " + u64(batch_flushes_size) +
-         ", \"deadline\": " + u64(batch_flushes_deadline) +
-         "}, \"checks\": " + u64(batch_checks) +
-         ", \"bisections\": " + u64(batch_bisections) +
-         ", \"individual\": " + u64(batch_individual) +
-         ", \"max_size\": " + u64(batch_max_size) + "},\n";
-  out += " \"channel\": {\"opened\": " + u64(channels_opened) +
-         ", \"closed\": " + u64(channels_closed) +
-         ", \"active\": " + std::to_string(gauges.channels_open) +
-         ", \"attaches\": " + u64(channel_attaches) +
-         ", \"records_in\": " + u64(channel_records_in) +
-         ", \"records_relayed\": " + u64(channel_records_relayed) +
-         ", \"bytes_in\": " + u64(channel_bytes_in) +
-         ", \"bytes_relayed\": " + u64(channel_bytes_relayed) +
-         ", \"records_unowned\": " + u64(channel_records_unowned) +
-         ", \"rekeys\": " + u64(channel_rekeys) + "},\n";
-  out += " \"authority\": {\"members\": " +
-         std::to_string(gauges.authority_members) +
-         ", \"epoch\": " + std::to_string(gauges.authority_epoch) +
-         ", \"subscribers\": " + std::to_string(gauges.authority_subscribers) +
-         ", \"rekeys\": " + u64(authority_rekeys) +
-         ", \"rekey_bytes\": " + u64(authority_rekey_bytes) +
-         ", \"rekeys_relayed\": " + u64(authority_rekeys_relayed) +
-         ", \"rekey_bytes_relayed\": " + u64(authority_rekey_bytes_relayed) +
-         ", \"subscribes\": " + u64(authority_subscribes) +
-         ", \"syncs\": " + u64(authority_syncs) +
-         ", \"rejects\": " + u64(authority_rejects) + "},\n";
-  out += " \"precomp\": {\"tables\": " + std::to_string(gauges.precomp_tables) +
-         ", \"hits\": " + std::to_string(gauges.precomp_hits) +
-         ", \"misses\": " + std::to_string(gauges.precomp_misses) + "},\n";
-  out += " \"trace\": {\"recorded\": " + std::to_string(gauges.trace_recorded) +
-         ", \"dropped\": " + std::to_string(gauges.trace_dropped) +
-         ", \"sampling_skipped\": " +
-         std::to_string(gauges.trace_sampling_skipped) + "},\n";
-  out += " \"latency\": {\"phase1\": " + phase1_latency.to_json() +
-         ",\n  \"phase2\": " + phase2_latency.to_json() +
-         ",\n  \"phase3\": " + phase3_latency.to_json() +
-         ",\n  \"session\": " + session_latency.to_json() + "}}";
+  std::vector<std::string_view> open;  // path of the innermost open object
+  for (const MetricRow& row : kTable) {
+    std::vector<std::string_view> path;
+    for (std::string_view rest = row.json;;) {
+      const std::size_t dot = rest.find('.');
+      path.push_back(rest.substr(0, dot));
+      if (dot == std::string_view::npos) break;
+      rest.remove_prefix(dot + 1);
+    }
+    std::size_t shared = 0;
+    while (shared < open.size() && shared + 1 < path.size() &&
+           open[shared] == path[shared]) {
+      ++shared;
+    }
+    out.append(open.size() - shared, '}');
+    open.resize(shared);
+    for (std::size_t i = shared; i < path.size(); ++i) {
+      if (out.back() != '{') {
+        if (open.empty()) {
+          out += ",\n ";
+        } else if (i + 1 == path.size() &&
+                   row.kind == MetricKind::kHistogram) {
+          out += ",\n" + std::string(open.size() + 1, ' ');
+        } else {
+          out += ", ";
+        }
+      }
+      out += "\"";
+      out += path[i];
+      out += "\": ";
+      if (i + 1 < path.size()) {
+        out += "{";
+        open.push_back(path[i]);
+      }
+    }
+    out += row.histogram != nullptr
+               ? (this->*row.histogram).to_json()
+               : std::to_string(value_of(row, *this, gauges));
+  }
+  out.append(open.size() + 1, '}');
   return out;
 }
 
 obs::MetricsSnapshot ServiceMetrics::snapshot(const Gauges& gauges) const {
-  auto u64 = [](const std::atomic<std::uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
   obs::MetricsSnapshot s;
-  auto counter = [&s](const char* name, const char* help,
-                      std::uint64_t value) {
-    s.scalars.push_back({name, help, /*gauge=*/false, value});
-  };
-  auto gauge = [&s](const char* name, const char* help, std::uint64_t value) {
-    s.scalars.push_back({name, help, /*gauge=*/true, value});
-  };
-  counter("shs_sessions_opened_total", "Handshake sessions opened",
-          u64(sessions_opened));
-  counter("shs_sessions_confirmed_total",
-          "Sessions that confirmed at least one partner",
-          u64(sessions_confirmed));
-  counter("shs_sessions_failed_total",
-          "Sessions that completed without a clique", u64(sessions_failed));
-  counter("shs_sessions_expired_total", "Sessions expired at the deadline",
-          u64(sessions_expired));
-  gauge("shs_sessions_active", "Sessions currently in the session table",
-        gauges.active_sessions);
-  counter("shs_rounds_advanced_total", "Protocol rounds advanced",
-          u64(rounds_advanced));
-  counter("shs_frames_in_total", "Frames accepted into sessions",
-          u64(frames_in));
-  counter("shs_frames_out_total", "Frames emitted to the egress sink",
-          u64(frames_out));
-  counter("shs_frames_rejected_total", "Frames rejected before slotting",
-          u64(frames_rejected));
-  counter("shs_frame_bytes_in_total", "Encoded bytes of accepted frames",
-          u64(bytes_in));
-  counter("shs_frame_bytes_out_total", "Encoded bytes of emitted frames",
-          u64(bytes_out));
-  counter("shs_tcp_bytes_in_total", "Raw bytes read from transport sockets",
-          u64(tcp_bytes_in));
-  counter("shs_tcp_bytes_out_total", "Raw bytes written to transport sockets",
-          u64(tcp_bytes_out));
-  counter("shs_connections_accepted_total", "Transport connections accepted",
-          u64(connections_accepted));
-  counter("shs_connections_closed_total", "Transport connections closed",
-          u64(connections_closed));
-  counter("shs_connections_killed_backpressure_total",
-          "Connections killed at the write-queue kill watermark",
-          u64(connections_killed_backpressure));
-  gauge("shs_connections_active", "Transport connections currently open",
-        gauges.active_connections);
-  counter("shs_frames_unowned_total",
-          "Frames dropped for session-ownership violations",
-          u64(frames_unowned));
-  gauge("shs_write_queue_hwm_bytes",
-        "High-water mark across connection write queues",
-        u64(write_queue_hwm));
-  counter("shs_frames_handoff_in_total",
-          "Session frames received from another shard's connection",
-          u64(frames_handoff_in));
-  counter("shs_frames_handoff_out_total",
-          "Session frames handed off to another shard's service",
-          u64(frames_handoff_out));
-  counter("shs_batch_jobs_total", "Verify jobs enqueued for batching",
-          u64(batch_jobs));
-  counter("shs_batch_jobs_deduped_total",
-          "Verify jobs coalesced with an identical pending job",
-          u64(batch_jobs_deduped));
-  counter("shs_batch_jobs_rejected_total",
-          "Batched verify jobs that resolved to reject",
-          u64(batch_jobs_rejected));
-  counter("shs_batch_flushes_total", "Batch verifier flushes",
-          u64(batch_flushes));
-  counter("shs_batch_flushes_size_total",
-          "Flushes triggered by the max-pending threshold",
-          u64(batch_flushes_size));
-  counter("shs_batch_flushes_deadline_total",
-          "Flushes triggered by the deadline poll",
-          u64(batch_flushes_deadline));
-  counter("shs_batch_checks_total",
-          "Unique prepared checks folded across all flushes",
-          u64(batch_checks));
-  counter("shs_batch_bisections_total",
-          "Failed-fold bisection splits during batch verification",
-          u64(batch_bisections));
-  counter("shs_batch_individual_verifies_total",
-          "Singleton fallback verifications after bisection",
-          u64(batch_individual));
-  gauge("shs_batch_max_size", "High-water mark of unique checks per flush",
-        u64(batch_max_size));
-  counter("shs_channels_opened_total",
-          "Post-handshake channels registered with the relay",
-          u64(channels_opened));
-  counter("shs_channels_closed_total",
-          "Post-handshake channels torn down or expired",
-          u64(channels_closed));
-  gauge("shs_channels_open", "Channels currently registered with the relay",
-        gauges.channels_open);
-  counter("shs_channel_attaches_total",
-          "Accepted channel attach requests", u64(channel_attaches));
-  counter("shs_channel_records_in_total",
-          "Channel records received from attached members",
-          u64(channel_records_in));
-  counter("shs_channel_records_relayed_total",
-          "Channel records fanned out to clique members",
-          u64(channel_records_relayed));
-  counter("shs_channel_bytes_in_total",
-          "Record payload bytes received from attached members",
-          u64(channel_bytes_in));
-  counter("shs_channel_bytes_relayed_total",
-          "Record payload bytes fanned out to clique members",
-          u64(channel_bytes_relayed));
-  counter("shs_channel_records_unowned_total",
-          "Channel records dropped for attach-ownership violations",
-          u64(channel_records_unowned));
-  counter("shs_channel_rekeys_total",
-          "REKEY records observed by the relay", u64(channel_rekeys));
-  counter("shs_authority_rekeys_total",
-          "Rekey broadcasts issued by the group authority",
-          u64(authority_rekeys));
-  counter("shs_authority_rekey_bytes_total",
-          "Encoded bytes of issued rekey broadcasts",
-          u64(authority_rekey_bytes));
-  counter("shs_authority_rekeys_relayed_total",
-          "Rekey broadcasts fanned out to subscribed connections",
-          u64(authority_rekeys_relayed));
-  counter("shs_authority_rekey_bytes_relayed_total",
-          "Encoded rekey bytes fanned out to subscribed connections",
-          u64(authority_rekey_bytes_relayed));
-  counter("shs_authority_subscribes_total",
-          "Accepted authority subscribe requests",
-          u64(authority_subscribes));
-  counter("shs_authority_syncs_total",
-          "Member re-sync snapshots served by the authority",
-          u64(authority_syncs));
-  counter("shs_authority_rejects_total",
-          "Authority subscribe/sync requests rejected",
-          u64(authority_rejects));
-  gauge("shs_authority_members", "Members currently in the authority's group",
-        gauges.authority_members);
-  gauge("shs_authority_epoch", "Current CGKD epoch of the group authority",
-        gauges.authority_epoch);
-  gauge("shs_authority_subscribers",
-        "Connections subscribed to rekey broadcasts",
-        gauges.authority_subscribers);
-  gauge("shs_precomp_tables", "Fixed-base tables in the process-wide cache",
-        gauges.precomp_tables);
-  gauge("shs_precomp_hits", "Process-wide precomputation cache hits",
-        gauges.precomp_hits);
-  gauge("shs_precomp_misses", "Process-wide precomputation cache misses",
-        gauges.precomp_misses);
-  counter("shs_trace_records_total", "Flight-recorder records accepted",
-          gauges.trace_recorded);
-  counter("shs_trace_dropped_total",
-          "Flight-recorder records overwritten before export (ring wrap)",
-          gauges.trace_dropped);
-  counter("shs_trace_sampling_skipped_total",
-          "Flight-recorder record calls rejected by the sampling filter",
-          gauges.trace_sampling_skipped);
-  s.histograms.push_back(phase1_latency.exposition(
-      "shs_phase1_latency_us", "Session open to end of Phase I"));
-  s.histograms.push_back(phase2_latency.exposition(
-      "shs_phase2_latency_us", "Session open to end of Phase II"));
-  s.histograms.push_back(phase3_latency.exposition(
-      "shs_phase3_latency_us", "Session open to end of Phase III"));
-  s.histograms.push_back(session_latency.exposition(
-      "shs_session_latency_us", "Session open to final round delivered"));
+  for (const MetricRow& row : kTable) {
+    if (row.histogram != nullptr) {
+      s.histograms.push_back(
+          (this->*row.histogram).exposition(row.name, row.help));
+    } else {
+      s.scalars.push_back(scalar(row, value_of(row, *this, gauges)));
+    }
+  }
   return s;
+}
+
+ServiceMetrics::Gauges fold_shards(std::span<const ShardMetrics> shards,
+                                   ServiceMetrics* merged) {
+  ServiceMetrics::Gauges out;
+  for (const ShardMetrics& shard : shards) merged->merge_from(*shard.block);
+  for (const MetricRow& row : kTable) {
+    if (row.gauge == nullptr) continue;
+    for (const ShardMetrics& shard : shards) {
+      out.*row.gauge += shard.gauges.*row.gauge;
+      if (row.process_wide) break;  // every shard reports the same value
+    }
+  }
+  return out;
+}
+
+void append_shard_series(std::span<const ShardMetrics> shards,
+                         obs::MetricsSnapshot* snapshot) {
+  for (const MetricRow& row : kTable) {
+    if (row.shard_help == nullptr) continue;
+    // shs_<x> -> shs_shard_<x>
+    const std::string name =
+        "shs_shard_" + std::string(std::string_view(row.name).substr(4));
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      obs::MetricEntry e =
+          scalar(row, value_of(row, *shards[i].block, shards[i].gauges));
+      e.name = name;
+      e.help = row.shard_help;
+      e.labels = "shard=\"" + std::to_string(i) + "\"";
+      snapshot->scalars.push_back(std::move(e));
+    }
+  }
 }
 
 }  // namespace shs::service

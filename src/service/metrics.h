@@ -9,12 +9,19 @@
 // egress, round/lifecycle, transport) with alignas(64): ingress pump
 // threads bumping frames_in must not invalidate the line an egress
 // thread is bumping frames_out on.
+//
+// Every exported metric is declared once, as a row of metric_table() in
+// metrics.cpp: Prometheus name, help, kind, dotted JSON key path and a
+// member pointer to its field. Merge, the JSON document, the Prometheus
+// snapshot and the server's per-shard shs_shard_* series are loops over
+// that table, so adding a metric is one field here plus one row there.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "obs/exposition.h"
@@ -140,13 +147,18 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> frames_handoff_in{0};
   std::atomic<std::uint64_t> frames_handoff_out{0};
 
+  /// Raises `mark` to `value` if it is the new maximum.
+  static void raise_to(std::atomic<std::uint64_t>& mark,
+                       std::uint64_t value) noexcept {
+    std::uint64_t seen = mark.load(std::memory_order_relaxed);
+    while (value > seen && !mark.compare_exchange_weak(
+                               seen, value, std::memory_order_relaxed)) {
+    }
+  }
+
   /// Raises write_queue_hwm to `queued` if it is the new maximum.
   void note_write_queue_depth(std::uint64_t queued) noexcept {
-    std::uint64_t seen = write_queue_hwm.load(std::memory_order_relaxed);
-    while (queued > seen &&
-           !write_queue_hwm.compare_exchange_weak(seen, queued,
-                                                  std::memory_order_relaxed)) {
-    }
+    raise_to(write_queue_hwm, queued);
   }
 
   // Cross-session batch verification (service/batch_verify.h). Mean batch
@@ -165,11 +177,7 @@ struct ServiceMetrics {
 
   /// Raises batch_max_size to `size` if it is the new maximum.
   void note_batch_size(std::uint64_t size) noexcept {
-    std::uint64_t seen = batch_max_size.load(std::memory_order_relaxed);
-    while (size > seen &&
-           !batch_max_size.compare_exchange_weak(seen, size,
-                                                 std::memory_order_relaxed)) {
-    }
+    raise_to(batch_max_size, size);
   }
 
   // Post-handshake channel relay (src/channel records fanned out by the
@@ -210,21 +218,68 @@ struct ServiceMetrics {
   LatencyHistogram session_latency;  // open -> final round delivered
 
   /// Adds every counter and histogram of `other` into this block
-  /// (relaxed loads/adds — a monotonic snapshot, not a consistent cut).
-  /// The sharded transport folds per-shard blocks into one scratch block
-  /// at export time so /metrics stays a single surface.
+  /// (relaxed loads/adds — a monotonic snapshot, not a consistent cut;
+  /// kMaxGauge rows take the max). The sharded transport folds per-shard
+  /// blocks into one scratch block at export time so /metrics stays a
+  /// single surface.
   void merge_from(const ServiceMetrics& other) noexcept;
 
-  /// One JSON object with every counter and histogram (schema: DESIGN.md
-  /// §8). Gauges are passed in because they are derived from live tables,
-  /// not counters.
+  /// One JSON object with every table row at its key path (schema:
+  /// DESIGN.md §8). Gauges are passed in because they are derived from
+  /// live tables, not counters.
   [[nodiscard]] std::string to_json(const Gauges& gauges) const;
 
-  /// The same counters and histograms as a neutral exposition snapshot —
-  /// obs::prometheus_text(snapshot(g)) is the GET /metrics body. One
-  /// builder for both surfaces keeps them structurally incapable of
-  /// drifting apart.
+  /// Every table row as a neutral exposition snapshot, in table order —
+  /// obs::prometheus_text(snapshot(g)) is the GET /metrics body.
   [[nodiscard]] obs::MetricsSnapshot snapshot(const Gauges& gauges) const;
 };
+
+/// How a metric row renders (Prometheus TYPE) and merges across shards.
+enum class MetricKind : std::uint8_t {
+  kCounter,    // TYPE counter; summed
+  kGauge,      // TYPE gauge; summed
+  kMaxGauge,   // TYPE gauge; a high-water mark, max-merged
+  kHistogram,  // a LatencyHistogram; buckets, count and sum summed
+};
+
+/// One exported metric. Exactly one of counter / gauge / histogram is
+/// set: a ServiceMetrics atomic, an export-time Gauges field, or a
+/// ServiceMetrics histogram.
+struct MetricRow {
+  const char* name;  // Prometheus family, e.g. "shs_batch_flushes_total"
+  const char* help;
+  MetricKind kind;
+  const char* json;  // dotted to_json() key path, e.g. "batch.flushes.total"
+  std::atomic<std::uint64_t> ServiceMetrics::* counter = nullptr;
+  std::uint64_t ServiceMetrics::Gauges::* gauge = nullptr;
+  LatencyHistogram ServiceMetrics::* histogram = nullptr;
+  // A gauge sampled from a process-wide source (precomp cache, trace
+  // recorder, authority engine): every shard reports the same value, so
+  // merging takes it once instead of summing.
+  bool process_wide = false;
+  // Non-null: the sharded server also renders this row per shard as
+  // shs_shard_<name without "shs_">{shard="i"}, with this help.
+  const char* shard_help = nullptr;
+};
+
+/// The metric table, in export order.
+[[nodiscard]] std::span<const MetricRow> metric_table() noexcept;
+
+/// One shard's export inputs: its counter block and its gauges.
+struct ShardMetrics {
+  const ServiceMetrics* block;
+  ServiceMetrics::Gauges gauges;
+};
+
+/// Folds per-shard exports: every block is merged into `merged`
+/// (merge_from), and the returned gauges sum the per-shard rows and take
+/// process-wide rows from the first shard.
+[[nodiscard]] ServiceMetrics::Gauges fold_shards(
+    std::span<const ShardMetrics> shards, ServiceMetrics* merged);
+
+/// Appends the shs_shard_* series of every row that has a shard_help,
+/// name-major (one HELP/TYPE block per name), labeled shard="i".
+void append_shard_series(std::span<const ShardMetrics> shards,
+                         obs::MetricsSnapshot* snapshot);
 
 }  // namespace shs::service

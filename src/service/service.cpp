@@ -318,8 +318,6 @@ std::vector<SessionInfo> RendezvousService::session_infos() const {
 ServiceMetrics::Gauges RendezvousService::gauges() const {
   ServiceMetrics::Gauges g;
   g.active_sessions = active_sessions();
-  if (connection_gauge_) g.active_connections = connection_gauge_();
-  if (channel_gauge_) g.channels_open = channel_gauge_();
   num::PrecompCache& cache = num::PrecompCache::instance();
   g.precomp_tables = cache.size();
   g.precomp_hits = cache.hits();
@@ -329,7 +327,7 @@ ServiceMetrics::Gauges RendezvousService::gauges() const {
     g.trace_dropped = options_.trace->dropped();
     g.trace_sampling_skipped = options_.trace->sampling_skipped();
   }
-  if (extra_gauges_) extra_gauges_(g);
+  if (host_gauges_) host_gauges_(g);
   return g;
 }
 

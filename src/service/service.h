@@ -149,26 +149,16 @@ class RendezvousService {
   /// (tcp_*, connections_*) into the same export.
   [[nodiscard]] ServiceMetrics& metrics() { return metrics_; }
 
-  /// Installs the live-connection gauge source (the transport server sets
-  /// this to its connection_count()). Unset = the gauge reads 0. Call
-  /// before serving exports; not synchronized against them.
-  void set_connection_gauge(std::function<std::uint64_t()> source) {
-    connection_gauge_ = std::move(source);
+  /// Installs the hook that fills the host-owned gauges (the transport
+  /// shard sets connections, channels and the authority gauges). Runs
+  /// last, over the already-populated struct. Unset = those gauges read
+  /// 0. Call before serving exports; not synchronized against them.
+  void set_host_gauges(std::function<void(ServiceMetrics::Gauges&)> fill) {
+    host_gauges_ = std::move(fill);
   }
-  /// Installs the open-channel gauge source (the transport server sets
-  /// this to its shard hub's channel count). Unset = the gauge reads 0.
-  void set_channel_gauge(std::function<std::uint64_t()> source) {
-    channel_gauge_ = std::move(source);
-  }
-  /// Installs a hook that fills further host-owned gauges (the transport
-  /// shard sets this to stamp the authority gauges). Runs last, over the
-  /// already-populated struct. Unset = those gauges read 0.
-  void set_extra_gauges(std::function<void(ServiceMetrics::Gauges&)> fill) {
-    extra_gauges_ = std::move(fill);
-  }
-  /// Point-in-time gauges: active sessions from the session table, active
-  /// connections from the installed transport source. Both export
-  /// surfaces read this one struct.
+  /// Point-in-time gauges: active sessions from the session table, the
+  /// process-wide precomp and trace gauges, then the host hook's. Both
+  /// export surfaces read this one struct.
   [[nodiscard]] ServiceMetrics::Gauges gauges() const;
 
   /// Full metrics JSON (includes the gauges).
@@ -202,9 +192,7 @@ class RendezvousService {
   ServiceOptions options_;
   Clock* clock_;  // never null
   ServiceMetrics metrics_;
-  std::function<std::uint64_t()> connection_gauge_;
-  std::function<std::uint64_t()> channel_gauge_;
-  std::function<void(ServiceMetrics::Gauges&)> extra_gauges_;
+  std::function<void(ServiceMetrics::Gauges&)> host_gauges_;
   std::unique_ptr<EgressTap> tap_;
   std::unique_ptr<BatchVerifier> batch_;  // before manager_: outlives pumps
   std::unique_ptr<SessionManager> manager_;

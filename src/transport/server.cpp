@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "bigint/fixed_base.h"
 #include "obs/redact.h"
 #include "transport/authority_hub.h"
 #include "transport/channel_hub.h"
@@ -476,121 +475,30 @@ std::uint64_t TransportServer::installed_on(std::size_t shard) const {
   return shards_.at(shard)->installed();
 }
 
-service::ServiceMetrics::Gauges TransportServer::merged_gauges() const {
-  service::ServiceMetrics::Gauges g;
+std::vector<service::ShardMetrics> TransportServer::shard_metrics() const {
+  std::vector<service::ShardMetrics> out;
+  out.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    g.active_sessions += shard->service().active_sessions();
-    g.active_connections +=
-        static_cast<std::uint64_t>(shard->connection_count());
-    g.channels_open +=
-        static_cast<std::uint64_t>(shard->hub().channels_open());
+    out.push_back({&shard->service().metrics(), shard->service().gauges()});
   }
-  num::PrecompCache& cache = num::PrecompCache::instance();
-  g.precomp_tables = cache.size();
-  g.precomp_hits = cache.hits();
-  g.precomp_misses = cache.misses();
-  if (trace_ != nullptr) {
-    // One recorder is shared by every shard: set once, never summed
-    // (each shard's own surface already reports the full recorder).
-    g.trace_recorded = trace_->recorded();
-    g.trace_dropped = trace_->dropped();
-    g.trace_sampling_skipped = trace_->sampling_skipped();
-  }
-  if (authority_ != nullptr) {
-    // Process-wide engine values are set once (like the precomp cache),
-    // never summed across shards; subscriptions live per shard and sum.
-    g.authority_members =
-        static_cast<std::uint64_t>(authority_->member_count());
-    g.authority_epoch = authority_->epoch();
-    g.authority_subscribers =
-        static_cast<std::uint64_t>(authority_subscriber_count());
-  }
-  return g;
+  return out;
 }
 
 std::string TransportServer::metrics_json() const {
-  if (shards_.size() == 1) return shards_.front()->service().metrics_json();
   service::ServiceMetrics merged;
-  for (const auto& shard : shards_) {
-    merged.merge_from(shard->service().metrics());
-  }
-  return merged.to_json(merged_gauges());
+  const service::ServiceMetrics::Gauges gauges =
+      service::fold_shards(shard_metrics(), &merged);
+  return merged.to_json(gauges);
 }
 
 std::string TransportServer::metrics_prometheus() const {
-  // The single-service fast path is also the N=1 byte-identity
-  // guarantee — taken only while nothing (health plane, scrape
-  // self-metrics) would add series the lone service cannot know about.
-  if (shards_.size() == 1 && health_ == nullptr && slo_ == nullptr &&
-      obs_ == nullptr) {
-    return shards_.front()->service().metrics_prometheus();
-  }
+  const std::vector<service::ShardMetrics> shards = shard_metrics();
   service::ServiceMetrics merged;
-  for (const auto& shard : shards_) {
-    merged.merge_from(shard->service().metrics());
-  }
-  obs::MetricsSnapshot snapshot = merged.snapshot(merged_gauges());
-  // Per-shard series, name-major so each name gets one HELP/TYPE block.
-  // Suppressed at N=1 (a lone shard's breakdown is the merged block
-  // repeated) — the merged path still runs then for the health-plane
-  // and scrape series below.
-  auto label = [](std::size_t i) { return "shard=\"" + std::to_string(i) + "\""; };
-  auto per_shard = [&](const char* name, const char* help, bool gauge,
-                       auto value_of) {
-    if (shards_.size() == 1) return;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      snapshot.scalars.push_back(
-          {name, help, gauge, value_of(*shards_[i]), label(i)});
-    }
-  };
-  auto counter = [](const std::atomic<std::uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
-  per_shard("shs_shard_sessions_active", "Sessions active on one shard",
-            /*gauge=*/true, [](const Shard& s) {
-              return static_cast<std::uint64_t>(s.service().active_sessions());
-            });
-  per_shard("shs_shard_connections_active",
-            "Transport connections open on one shard", /*gauge=*/true,
-            [](const Shard& s) {
-              return static_cast<std::uint64_t>(s.connection_count());
-            });
-  per_shard("shs_shard_sessions_opened_total",
-            "Handshake sessions opened on one shard", /*gauge=*/false,
-            [&](const Shard& s) {
-              return counter(s.service().metrics().sessions_opened);
-            });
-  per_shard("shs_shard_frames_handoff_in_total",
-            "Frames this shard received from another shard's connection",
-            /*gauge=*/false, [&](const Shard& s) {
-              return counter(s.service().metrics().frames_handoff_in);
-            });
-  per_shard("shs_shard_frames_handoff_out_total",
-            "Frames this shard handed off to another shard's service",
-            /*gauge=*/false, [&](const Shard& s) {
-              return counter(s.service().metrics().frames_handoff_out);
-            });
-  per_shard("shs_shard_channels_open",
-            "Relay channels registered on one shard", /*gauge=*/true,
-            [](const Shard& s) {
-              return static_cast<std::uint64_t>(s.hub().channels_open());
-            });
-  per_shard("shs_shard_channel_records_in_total",
-            "Channel records received by one shard's hub", /*gauge=*/false,
-            [&](const Shard& s) {
-              return counter(s.service().metrics().channel_records_in);
-            });
-  per_shard("shs_shard_authority_subscribers",
-            "Rekey-broadcast subscriptions on one shard", /*gauge=*/true,
-            [](const Shard& s) {
-              return static_cast<std::uint64_t>(
-                  s.authority_hub().subscriber_count());
-            });
-  per_shard("shs_shard_authority_rekeys_relayed_total",
-            "Rekey broadcasts one shard's hub fanned out", /*gauge=*/false,
-            [&](const Shard& s) {
-              return counter(s.service().metrics().authority_rekeys_relayed);
-            });
+  obs::MetricsSnapshot snapshot =
+      merged.snapshot(service::fold_shards(shards, &merged));
+  // Suppressed at N=1: a lone shard's breakdown is the merged block
+  // repeated.
+  if (shards.size() > 1) service::append_shard_series(shards, &snapshot);
   if (slo_ != nullptr) slo_->fill_snapshot(&snapshot);
   if (health_ != nullptr) health_->fill_snapshot(&snapshot);
   if (obs_ != nullptr) {

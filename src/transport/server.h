@@ -253,14 +253,16 @@ class TransportServer {
   /// Rekey-broadcast subscriptions across all shards.
   [[nodiscard]] std::size_t authority_subscriber_count() const;
 
-  /// Merged export surfaces: per-shard counters folded into one block
-  /// (ServiceMetrics::merge_from + LatencyHistogram::merge), gauges
-  /// summed. With num_shards = 1 these delegate to the single service,
-  /// byte-identical to its own exports (the Prometheus surface only so
-  /// long as no health plane or scrape endpoint adds series). The
-  /// Prometheus surface appends per-shard `shs_shard_*{shard="i"}`
-  /// series when num_shards > 1, and shs_slo_* / shs_shard_health /
-  /// shs_obs_scrape_* series when the corresponding plane is live.
+  /// Merged export surfaces: every shard's block and gauges folded by
+  /// the metric table (service::fold_shards — counters summed, high-water
+  /// marks maxed, per-shard gauges summed, process-wide gauges taken
+  /// once). With num_shards = 1 the fold is the identity, so both are
+  /// byte-identical to the single service's own exports (the Prometheus
+  /// surface only so long as no health plane or scrape endpoint adds
+  /// series). The Prometheus surface appends the table's per-shard
+  /// `shs_shard_*{shard="i"}` series when num_shards > 1, and shs_slo_* /
+  /// shs_shard_health / shs_obs_scrape_* series when the corresponding
+  /// plane is live.
   [[nodiscard]] std::string metrics_json() const;
   [[nodiscard]] std::string metrics_prometheus() const;
 
@@ -308,7 +310,8 @@ class TransportServer {
   [[nodiscard]] std::shared_ptr<Connection> find_connection(
       ConnRef ref) const;
   void purge_routes_everywhere(ConnRef ref);
-  [[nodiscard]] service::ServiceMetrics::Gauges merged_gauges() const;
+  /// Every shard's counter block and gauges, for the merged exports.
+  [[nodiscard]] std::vector<service::ShardMetrics> shard_metrics() const;
 
   /// kSub / kSync handlers (called from a shard loop thread). Both reply
   /// on the requesting connection and register the subscription on its

@@ -51,24 +51,19 @@ Shard::Shard(TransportServer* server, std::uint32_t index,
                                       index_, slo);
   authority_hub_ = std::make_unique<AuthorityHub>(
       server, &service_->metrics(), index_, health_);
-  // This shard's export surfaces gauge its own sockets; the server sums
-  // the per-shard gauges for the merged exposition.
-  service_->set_connection_gauge([this] {
-    return static_cast<std::uint64_t>(connection_count());
-  });
-  service_->set_channel_gauge([this] {
-    return static_cast<std::uint64_t>(hub_->channels_open());
-  });
-  // Authority gauges: members/epoch are process-wide (the engine is the
-  // server's), subscribers are this shard's. Evaluated at export time,
-  // after the server's constructor has built the engine.
-  service_->set_extra_gauges([this](service::ServiceMetrics::Gauges& g) {
+  // This shard's export surfaces gauge its own sockets, relay channels
+  // and subscriptions; authority members/epoch are process-wide (the
+  // engine is the server's, built after this constructor — the hook runs
+  // at export time). The server folds the per-shard gauges by the
+  // metric table.
+  service_->set_host_gauges([this](service::ServiceMetrics::Gauges& g) {
+    g.active_connections = connection_count();
+    g.channels_open = hub_->channels_open();
     const authority::AuthorityEngine* engine = server_->authority_.get();
     if (engine == nullptr) return;
     g.authority_members = engine->member_count();
     g.authority_epoch = engine->epoch();
-    g.authority_subscribers =
-        static_cast<std::uint64_t>(authority_hub_->subscriber_count());
+    g.authority_subscribers = authority_hub_->subscriber_count();
   });
 }
 

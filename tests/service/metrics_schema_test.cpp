@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fixture.h"
@@ -222,6 +223,30 @@ TEST(MetricsSchema, PrometheusExpositionAgreesWithTheJson) {
             root.at("authority").at("syncs").u64());
   EXPECT_EQ(prom_value(prom, "shs_authority_rejects_total"),
             root.at("authority").at("rejects").u64());
+
+  // Every table row appears on both surfaces with one value: scalars as
+  // `name value`, histograms as their _count. The assertions above stay
+  // as the hand-written reference for the table's names and paths.
+  for (const MetricRow& row : metric_table()) {
+    SCOPED_TRACE(row.name);
+    const minijson::Value* node = &root;
+    for (std::string_view rest = row.json;;) {
+      const std::size_t dot = rest.find('.');
+      node = &node->at(std::string(rest.substr(0, dot)));
+      if (dot == std::string_view::npos) break;
+      rest.remove_prefix(dot + 1);
+    }
+    if (row.kind == MetricKind::kHistogram) {
+      EXPECT_EQ(prom_value(prom, std::string(row.name) + "_count"),
+                check_histogram(*node));
+    } else {
+      EXPECT_EQ(prom_value(prom, row.name), node->u64());
+      const std::string type = std::string("# TYPE ") + row.name +
+                               (row.kind == MetricKind::kCounter ? " counter\n"
+                                                                 : " gauge\n");
+      EXPECT_NE(prom.find(type), std::string::npos) << type;
+    }
+  }
 
   // Histogram invariants: cumulative buckets end at count; sum present.
   const std::uint64_t count =

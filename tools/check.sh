@@ -9,60 +9,24 @@
 # expected to hold on. Deterministic: a seed that fails here fails
 # everywhere.
 #
-# Pass --service to additionally run the rendezvous-service suites
-# (ctest -L service, which includes the stress-labeled soak) in a
-# ThreadSanitizer tree (build-tsan/, -DSHS_TSAN=ON). The soak size is
-# reduced under TSan unless SHS_STRESS_SESSIONS is already set — race
-# coverage comes from thread interleaving, not session count.
-#
-# Pass --obs to additionally run the observability suite (ctest -L obs:
-# trace-ring seqlock, logger/redaction units, the scrape endpoint and the
-# redaction-invariant conformance sweep) in the same TSan tree — ring
-# writers genuinely race pool threads against scrape-time readers. The
-# sweep's m-grid is trimmed under TSan via SHS_REDACTION_M unless the
-# caller already set it.
-#
-# Pass --transport to additionally run the TCP transport suite
-# (ctest -L transport: event loop, connections, e2e loopback handshakes,
-# fuzz, disconnect reaping) in the same TSan tree — the loop thread, pump
-# worker and client threads genuinely race, which is exactly what TSan is
-# for.
-#
-# Pass --shard to additionally run the sharded-transport suite
-# (ctest -L shard: accept dealing and N=1 byte-equality, the cross-shard
-# conformance sweep, the handoff/route-purge regressions and the 4-shard
-# striped soak) in the same TSan tree — cross-shard egress writes,
-# remote-frame queues, merged metrics folds and the shared precomp cache
-# are exactly the boundaries TSan should chew on. The soak size is
-# reduced under TSan unless SHS_SHARD_STRESS_SESSIONS is already set.
-#
-# Pass --channel to additionally run the encrypted-channel suite
-# (ctest -L channel: key schedule, record codec/replay window, the
-# endpoint state machine with its record-layer adversary sweep, channel
-# redaction conformance, and the e2e relay over the sharded TCP
-# transport) in the same TSan tree — the relay fans records across shard
-# event loops while clients pump concurrently.
-#
-# Pass --authority to additionally run the group-authority suite
-# (ctest -L authority: engine/MemberSync units with the join-state
-# redaction canary, the cross-epoch handshake conformance sweep, and the
-# serial-twin broadcast oracle over {1,2,4} shards) in the same TSan
-# tree — churn calls race shard loop threads through the engine mutex
-# while subscribers pump their feeds concurrently.
-#
-# Pass --batch to additionally run the batched-verification suite
-# (ctest -L batch: batch-vs-individual equivalence, forged-signature
-# bisection, flush policy, the batched conformance sweep, and the
-# process-wide precomp cache under concurrent acquire) in the same TSan
-# tree — enqueue/flush and cache ensure() are cross-thread by design.
-#
-# Pass --health to additionally run the health-plane suite (ctest -L
-# health: quantile-sketch seqlock under concurrent writers, the
-# ManualClock watchdog state machine, postmortem capture with the
-# deliberate key-leak canary, and the wedged-pump drill over live TCP)
-# in the same TSan tree — heartbeat stamps are relaxed atomics raced by
-# every loop/pump thread against the checker, which is exactly the
-# contract TSan should audit.
+# Pass --tsan to additionally run the concurrent suites in a
+# ThreadSanitizer tree (build-tsan/, -DSHS_TSAN=ON); --tsan=label,...
+# picks a subset of the default labels:
+#   service    pump/feed/expire paths and the stress-labeled soak
+#   transport  event loop, pump worker and client threads racing
+#   obs        trace-ring writers against scrape-time readers, and the
+#              redaction-invariant conformance sweep
+#   batch      cross-thread enqueue/flush, the precomp cache's ensure()
+#   shard      cross-shard egress, remote-frame queues, merged metric folds
+#   channel    relay fan-out across shard event loops
+#   authority  churn calls racing shard loops through the engine mutex
+#   health     heartbeat atomics raced against the watchdog checker
+# Only the test binaries carrying those labels are built (CMake target
+# shs_label_<label>, see tests/CMakeLists.txt): the rest of the suite is
+# single-threaded and already covered by the ASan tree. Race coverage
+# comes from thread interleaving, not volume, so three sizes are trimmed
+# under TSan unless the caller already set them: SHS_STRESS_SESSIONS=250,
+# SHS_SHARD_STRESS_SESSIONS=200 and SHS_REDACTION_M=2,4.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,28 +41,17 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
 }
 
+TSAN_LABELS="service,transport,obs,batch,shard,channel,authority,health"
+
 want_conformance=0
 want_sanitize=1
-want_service=0
-want_transport=0
-want_obs=0
-want_batch=0
-want_shard=0
-want_channel=0
-want_authority=0
-want_health=0
+tsan_labels=""
 for arg in "$@"; do
   case "$arg" in
     --conformance) want_conformance=1 ;;
     --no-sanitize) want_sanitize=0 ;;
-    --service) want_service=1 ;;
-    --transport) want_transport=1 ;;
-    --obs) want_obs=1 ;;
-    --batch) want_batch=1 ;;
-    --shard) want_shard=1 ;;
-    --channel) want_channel=1 ;;
-    --authority) want_authority=1 ;;
-    --health) want_health=1 ;;
+    --tsan) tsan_labels=$TSAN_LABELS ;;
+    --tsan=?*) tsan_labels=${arg#--tsan=} ;;
     *) echo "check.sh: unknown option '$arg'" >&2; exit 2 ;;
   esac
 done
@@ -122,66 +75,16 @@ if [[ "$want_sanitize" == 1 ]]; then
   fi
 fi
 
-if [[ "$want_service" == 1 ]]; then
-  echo "== service + stress under TSan =="
+if [[ -n "$tsan_labels" ]]; then
+  echo "== $tsan_labels under TSan =="
+  IFS=, read -ra labels <<< "$tsan_labels"
   cmake -B build-tsan -S . -DSHS_TSAN=ON >/dev/null
-  # Only the service binaries: the rest of the suite is single-threaded
-  # and already covered by the ASan tree. (Unbuilt targets surface as
-  # unlabeled NOT_BUILT placeholders, which -L service skips.)
-  cmake --build build-tsan -j "$(nproc)" --target service_test service_stress_test
+  cmake --build build-tsan -j "$(nproc)" --target "${labels[@]/#/shs_label_}"
   SHS_STRESS_SESSIONS="${SHS_STRESS_SESSIONS:-250}" \
-    ctest --test-dir build-tsan --output-on-failure -L service
-fi
-
-if [[ "$want_transport" == 1 ]]; then
-  echo "== transport under TSan =="
-  cmake -B build-tsan -S . -DSHS_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target transport_test
-  ctest --test-dir build-tsan --output-on-failure -L transport
-fi
-
-if [[ "$want_shard" == 1 ]]; then
-  echo "== sharded transport under TSan =="
-  cmake -B build-tsan -S . -DSHS_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target shard_transport_test shard_conformance_test shard_stress_test
   SHS_SHARD_STRESS_SESSIONS="${SHS_SHARD_STRESS_SESSIONS:-200}" \
-    ctest --test-dir build-tsan --output-on-failure -L shard
-fi
-
-if [[ "$want_channel" == 1 ]]; then
-  echo "== encrypted channel under TSan =="
-  cmake -B build-tsan -S . -DSHS_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target channel_test channel_transport_test
-  ctest --test-dir build-tsan --output-on-failure -L channel
-fi
-
-if [[ "$want_authority" == 1 ]]; then
-  echo "== group authority under TSan =="
-  cmake -B build-tsan -S . -DSHS_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target authority_test authority_transport_test
-  ctest --test-dir build-tsan --output-on-failure -L authority
-fi
-
-if [[ "$want_batch" == 1 ]]; then
-  echo "== batched verification under TSan =="
-  cmake -B build-tsan -S . -DSHS_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target batch_test batch_service_test conformance_batch_test
-  ctest --test-dir build-tsan --output-on-failure -L batch
-fi
-
-if [[ "$want_health" == 1 ]]; then
-  echo "== health plane under TSan =="
-  cmake -B build-tsan -S . -DSHS_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target health_test health_transport_test
-  ctest --test-dir build-tsan --output-on-failure -L health
-fi
-
-if [[ "$want_obs" == 1 ]]; then
-  echo "== observability under TSan =="
-  cmake -B build-tsan -S . -DSHS_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target obs_test
   SHS_REDACTION_M="${SHS_REDACTION_M:-2,4}" \
-    ctest --test-dir build-tsan --output-on-failure -L obs
+    ctest --test-dir build-tsan --output-on-failure \
+      -L "^($(IFS='|'; echo "${labels[*]}"))\$"
 fi
 
 echo "check.sh: all suites passed"
