@@ -188,6 +188,8 @@ constexpr MetricRow kTable[] = {
     counter("transport.bytes_out", &M::tcp_bytes_out,
             "shs_tcp_bytes_out_total",
             "Raw bytes written to transport sockets"),
+    counter("transport.writes", &M::tcp_writes, "shs_tcp_writes_total",
+            "Successful write calls on transport sockets"),
     counter("transport.connections.accepted", &M::connections_accepted,
             "shs_connections_accepted_total", "Transport connections accepted"),
     counter("transport.connections.closed", &M::connections_closed,

@@ -128,6 +128,10 @@ struct ServiceMetrics {
   // frame-layer bytes_in/bytes_out above.
   alignas(64) std::atomic<std::uint64_t> tcp_bytes_in{0};
   std::atomic<std::uint64_t> tcp_bytes_out{0};
+  // Successful write() calls; tcp_bytes_out / tcp_writes is the mean
+  // write size, and frames_out / tcp_writes approximates the frames per
+  // write (frames_out leaves out transport control frames).
+  std::atomic<std::uint64_t> tcp_writes{0};
   std::atomic<std::uint64_t> connections_accepted{0};
   std::atomic<std::uint64_t> connections_closed{0};
   // Subset of connections_closed: peer refused to drain our writes past

@@ -44,24 +44,33 @@ void Client::adopt_socket(Fd fd) {
 
 void Client::send_frame(const service::Frame& frame) {
   if (!fd_.valid()) throw TransportError("client: not connected");
-  const Bytes wire = encode_frame(frame);
+  // Behind any buffered echoes, so frame order on the wire is unchanged.
+  append(out_buf_, encode_frame(frame));
+  flush();
+}
+
+void Client::flush() {
   std::size_t sent = 0;
-  while (sent < wire.size()) {
+  while (sent < out_buf_.size()) {
     poll_or_throw(fd_.get(), POLLOUT, options_.io_timeout, "write");
     const ssize_t n =
-        ::write(fd_.get(), wire.data() + sent, wire.size() - sent);
+        ::write(fd_.get(), out_buf_.data() + sent, out_buf_.size() - sent);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
     } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
       throw TransportError(errno_message("write"));
     }
   }
+  out_buf_.clear();
 }
 
 std::optional<service::Frame> Client::recv_frame() {
   if (!fd_.valid()) throw TransportError("client: not connected");
   while (true) {
     if (auto frame = in_buf_.next()) return frame;
+    // About to block: the echoes of everything read so far leave in one
+    // write, so the server has the whole round before we wait on it.
+    flush();
     poll_or_throw(fd_.get(), POLLIN, options_.io_timeout, "read");
     std::uint8_t chunk[16 * 1024];
     const ssize_t n = ::read(fd_.get(), chunk, sizeof(chunk));
@@ -83,8 +92,9 @@ void Client::handle(service::Frame frame) {
     return;
   }
   if (!is_control(frame)) {
-    // The relay: hosted sessions expect their egress looped straight back.
-    send_frame(frame);
+    // The relay: hosted sessions expect their egress looped straight back
+    // (written by the next flush()).
+    append(out_buf_, encode_frame(frame));
     return;
   }
   switch (static_cast<ControlOp>(frame.round)) {
@@ -183,6 +193,7 @@ std::vector<SessionSummary>& Client::run() {
     }
     handle(std::move(*frame));
   }
+  flush();
   return summaries_;
 }
 

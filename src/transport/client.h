@@ -9,6 +9,12 @@
 // transcripts the service accumulates are byte-identical to the serial
 // driver's; the e2e tests assert precisely that.
 //
+// Echoes are buffered and written together just before the client would
+// block on a read, so frames that arrive together are echoed in one
+// write (one segment under TCP_NODELAY). send_frame writes behind any buffered
+// echoes, so frame order on the wire is unchanged, and run() returns
+// with none buffered.
+//
 // One Client is one socket and is strictly single-threaded. All reads
 // poll() against ClientOptions::io_timeout, so a dead server surfaces as
 // TransportError instead of a hang.
@@ -90,22 +96,27 @@ class Client {
 
   /// Low-level access (used by the fault-injection tests): blocking send
   /// of one frame / receive of the next frame, both bounded by io_timeout.
-  /// recv_frame returns nullopt on clean EOF.
+  /// send_frame first writes any buffered echoes (in the same write);
+  /// recv_frame flushes them before it blocks and returns nullopt on
+  /// clean EOF.
   void send_frame(const service::Frame& frame);
   std::optional<service::Frame> recv_frame();
 
   void close() noexcept { fd_.reset(); }
 
  private:
-  /// Relays/records one inbound frame. Returns the frame's session id if
-  /// it was a control reply to an open (kOpenOk/kOpenErr re-thrown by the
-  /// caller), else nullopt after handling it.
+  /// Handles one inbound frame: a session frame's echo is appended to
+  /// out_buf_, a channel record or rekey goes to its inbox, kDone and
+  /// kShutdown update the client's state.
   void handle(service::Frame frame);
   std::uint64_t await_open_reply(std::uint32_t tag);
+  /// Writes out_buf_ in full (blocking, bounded by io_timeout).
+  void flush();
 
   ClientOptions options_;
   Fd fd_;
   service::FrameBuffer in_buf_;
+  Bytes out_buf_;  // echoes not yet written
   std::uint32_t next_tag_ = 1;
   std::unordered_set<std::uint64_t> pending_;
   std::vector<SessionSummary> summaries_;

@@ -164,6 +164,7 @@ void Connection::flush_writes() {
       out_pos_ += static_cast<std::size_t>(n);
       bump(metrics_ != nullptr ? &metrics_->tcp_bytes_out : nullptr,
            static_cast<std::uint64_t>(n));
+      bump(metrics_ != nullptr ? &metrics_->tcp_writes : nullptr, 1);
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       break;
     } else if (errno != EINTR) {

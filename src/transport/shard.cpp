@@ -120,13 +120,15 @@ void Shard::install_connection(Fd fd, std::uint64_t id) {
   auto conn = std::make_shared<Connection>(
       loop_, std::move(fd), id, limits_, std::move(callbacks), &metrics,
       trace_);
+  // Count before publishing: conns_mu_ orders these bumps before any
+  // reader that sees the connection in connection_count().
+  installed_.fetch_add(1, std::memory_order_relaxed);
+  metrics.connections_accepted.fetch_add(1, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.emplace(id, conn);
   }
   conn->register_with_loop();
-  installed_.fetch_add(1, std::memory_order_relaxed);
-  metrics.connections_accepted.fetch_add(1, std::memory_order_relaxed);
   if (trace_ != nullptr) {
     trace_->record(obs::TraceEvent::kConnAccepted, 0, id);
   }

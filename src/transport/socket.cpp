@@ -19,6 +19,13 @@ namespace {
   throw TransportError(errno_message(what));
 }
 
+void set_nodelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0) {
+    throw_errno("setsockopt(TCP_NODELAY)");
+  }
+}
+
 sockaddr_in make_addr(const std::string& address, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -67,6 +74,7 @@ Fd tcp_listen(const std::string& address, std::uint16_t port, int backlog) {
   if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) < 0) {
     throw_errno("setsockopt(SO_REUSEADDR)");
   }
+  set_nodelay(fd.get());  // inherited by every accept()ed socket
   const sockaddr_in addr = make_addr(address, port);
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) < 0) {
@@ -91,6 +99,7 @@ Fd tcp_connect(const std::string& address, std::uint16_t port,
   Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) throw_errno("socket");
   set_socket_buffers(fd.get(), sndbuf, rcvbuf);
+  set_nodelay(fd.get());
   const sockaddr_in addr = make_addr(address, port);
 
   // Connect non-blocking so the deadline is enforceable, then restore

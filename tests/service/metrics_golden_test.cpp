@@ -73,7 +73,8 @@ std::vector<std::atomic<std::uint64_t>*> counters_of(ServiceMetrics& m) {
           &m.authority_rekey_bytes_relayed,
           &m.authority_subscribes,
           &m.authority_syncs,
-          &m.authority_rejects};
+          &m.authority_rejects,
+          &m.tcp_writes};
 }
 
 /// Counter i holds base + 7i; histogram h records h + 1 durations.
@@ -178,6 +179,9 @@ shs_tcp_bytes_in_total 71
 # HELP shs_tcp_bytes_out_total Raw bytes written to transport sockets
 # TYPE shs_tcp_bytes_out_total counter
 shs_tcp_bytes_out_total 78
+# HELP shs_tcp_writes_total Successful write calls on transport sockets
+# TYPE shs_tcp_writes_total counter
+shs_tcp_writes_total 316
 # HELP shs_connections_accepted_total Transport connections accepted
 # TYPE shs_connections_accepted_total counter
 shs_connections_accepted_total 85
@@ -594,6 +598,7 @@ transport.frames_unowned 106
 transport.handoff_in 120
 transport.handoff_out 127
 transport.write_queue_hwm_bytes 113
+transport.writes 316
 )GOLDEN";
 
 // The shs_shard_* families of a 2-shard server, one block per family

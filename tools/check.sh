@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the full test suite, then
-# repeat the build+tests in a separate tree with ASan+UBSan enabled
+# Tier-1 verification: configure, build, run the full test suite, rerun
+# the shard- and transport-labeled tests three times, then repeat the
+# build+tests in a separate tree with ASan+UBSan enabled
 # (-DSHS_SANITIZE=ON). Pass --no-sanitize to skip the second pass.
 #
 # Pass --conformance to additionally sweep the security-invariant
@@ -58,6 +59,13 @@ done
 
 echo "== tier-1: build + tests =="
 run_suite build
+
+# Timing races on the served path (accept dealing, cross-shard egress,
+# client relays) show up in one run in several, so the shard and
+# transport labels run three times over before a change can pass.
+echo "== shard|transport repeated x3 =="
+ctest --test-dir build --output-on-failure -L 'shard|transport' \
+  --repeat until-fail:3 -j "$(nproc)"
 
 if [[ "$want_conformance" == 1 ]]; then
   echo "== conformance sweep (seeds 1,$CONFORMANCE_SEEDS) =="
